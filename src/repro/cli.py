@@ -31,7 +31,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.core.checker import LocalModelChecker
 from repro.core.checkpoint import Checkpointer, CheckpointError, load_checkpoint
 from repro.core.config import LMCConfig
-from repro.core.parallel import ParallelLocalModelChecker
 from repro.explore.budget import SearchBudget
 from repro.explore.global_checker import GlobalModelChecker
 from repro.invariants.base import Invariant
@@ -229,24 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("workload", choices=sorted(WORKLOADS))
         command.add_argument(
             "--algorithm",
-            choices=("bdfs", "lmc-gen", "lmc-opt", "lmc-parallel"),
+            choices=("bdfs", "lmc-gen", "lmc-opt"),
             default="lmc-opt",
         )
         command.add_argument("--nodes", type=int, default=3)
         command.add_argument("--buggy", action="store_true")
         command.add_argument("--max-seconds", type=float, default=None)
         command.add_argument("--max-depth", type=int, default=None)
-        command.add_argument("--workers", type=int, default=0)
-        command.add_argument(
-            "--explore-workers",
-            type=int,
-            default=0,
-            metavar="N",
-            help="shard each exploration round's frontier across N pool "
-            "workers (LMC algorithms only; 0 explores serially, -1 uses "
-            "all CPUs; results are identical either way — see "
-            "docs/PERFORMANCE.md)",
-        )
         command.add_argument(
             "--faults",
             action="store_true",
@@ -539,13 +527,6 @@ def run_check(
         fault_overrides["symmetry_reduction"] = True
     if getattr(args, "por", False):
         fault_overrides["por_pruning"] = True
-    explore_workers = getattr(args, "explore_workers", 0)
-    if explore_workers:
-        # -1 (or any negative) = all CPUs, matching --workers' "0 or None"
-        # idiom while keeping this flag's 0 meaning "serial".
-        fault_overrides["explore_workers"] = (
-            None if explore_workers < 0 else explore_workers
-        )
     # Checkpointing (docs/CHECKPOINTS.md): any of the three flags turns the
     # snapshot layer on; the file defaults into the registry run directory
     # so `repro resume <run_id>` finds it without extra bookkeeping.
@@ -571,35 +552,22 @@ def run_check(
         # explores the paper's original event vocabulary — it registers
         # and finishes in the registry but emits no heartbeats.
         return GlobalModelChecker(protocol, invariant, budget=budget).run()
-    if args.algorithm == "lmc-parallel":
-        checker: Any = ParallelLocalModelChecker(
-            protocol,
-            invariant,
-            budget=budget,
-            config=LMCConfig.optimized(**fault_overrides),
-            workers=args.workers or None,
-            emitter=emitter,
-            metrics_interval=interval,
-            run_handle=run_handle,
-            coverage=coverage,
-        )
-    else:
-        config = (
-            LMCConfig.optimized(**fault_overrides)
-            if args.algorithm == "lmc-opt"
-            else LMCConfig.general(**fault_overrides)
-        )
-        checker = LocalModelChecker(
-            protocol,
-            invariant,
-            budget=budget,
-            config=config,
-            emitter=emitter,
-            metrics_interval=interval,
-            run_handle=run_handle,
-            coverage=coverage,
-            checkpointer=checkpointer,
-        )
+    config = (
+        LMCConfig.optimized(**fault_overrides)
+        if args.algorithm == "lmc-opt"
+        else LMCConfig.general(**fault_overrides)
+    )
+    checker = LocalModelChecker(
+        protocol,
+        invariant,
+        budget=budget,
+        config=config,
+        emitter=emitter,
+        metrics_interval=interval,
+        run_handle=run_handle,
+        coverage=coverage,
+        checkpointer=checkpointer,
+    )
     if resume_from:
         result = checker.resume(load_checkpoint(resume_from))
     elif extend_from:
@@ -981,8 +949,7 @@ def main(argv: Optional[list] = None) -> int:
             result = run_check(args, emitter, run_handle, coverage)
         else:
             result = run_scenario(args, emitter, run_handle, coverage)
-        # End-of-run bookkeeping: the merged final counters (which, for a
-        # parallel run, only exist after the fan-out) and a closing event,
+        # End-of-run bookkeeping: the final counters and a closing event,
         # so trace-report always has an authoritative last metric record.
         emitter.metric(**result.stats.snapshot())
         emitter.event(

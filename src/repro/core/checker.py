@@ -62,7 +62,6 @@ from repro.core.checkpoint import (
     verify_fingerprint,
 )
 from repro.core.config import LMCConfig
-from repro.core.explore_parallel import RoundSpeculator, SpecExec
 from repro.core.records import (
     LINK_BYTES,
     LocalStateSpace,
@@ -394,11 +393,6 @@ class _ExplorationPass:
 
         self.stats = ExplorationStats()
         self.bugs: List[BugReport] = []
-        #: Unverified violating combinations (``collect_preliminary`` mode),
-        #: deduplicated — pairwise OPT enumeration can produce the same full
-        #: combination through different conflicting pairs.
-        self.unverified: List[Combination] = []
-        self._unverified_keys: set = set()
         self.series = DepthSeries(checker.algorithm)
         self.space = LocalStateSpace(self.protocol.node_ids())
         self.network = MonotonicNetwork(self.config.duplicate_limit)
@@ -519,11 +513,6 @@ class _ExplorationPass:
             if use_pairwise_opt and self.config.incremental_enumeration
             else None
         )
-        #: Parallel frontier exploration (docs/PERFORMANCE.md): per-round
-        #: speculative precomputation of handler results and content hashes
-        #: across the shared worker pool.  ``None`` (``explore_workers=0``)
-        #: keeps the sweep fully in-process.
-        self._speculator: Optional[RoundSpeculator] = RoundSpeculator.for_pass(self)
         #: Symmetry reduction (docs/REDUCTION.md): orbit canonicalisation of
         #: candidate combinations under the protocol-declared node-symmetry
         #: group.  ``None`` — the default, and whenever the protocol declares
@@ -667,14 +656,6 @@ class _ExplorationPass:
         executions = 0
         self._partition_retry = False
         partitions = self.config.partition_schedules
-        # Parallel frontier exploration: snapshot the round-start frontier
-        # and precompute its handler results + content hashes across the
-        # worker pool.  The sweeps below are unchanged — they consume a
-        # precomputed outcome on a table hit and compute inline on a miss,
-        # so order, counters and results are byte-identical to serial.
-        speculator = self._speculator
-        if speculator is not None:
-            speculator.begin_round()
         # Network events: each stored message runs on the destination states
         # it has not been executed on yet ("by jumping over the old states").
         for node in self.space.node_ids:
@@ -715,7 +696,7 @@ class _ExplorationPass:
             store = self.space.store(node)
             deferred = self._local_deferred.get(node)
             if self._reoffer and deferred:
-                executions += self._reoffer_locals(store, deferred, speculator)
+                executions += self._reoffer_locals(store, deferred)
             end = len(store)
             start = self._local_cursor[node]
             for index in range(start, end):
@@ -732,7 +713,7 @@ class _ExplorationPass:
                 ):
                     self.blocked_by_bound = True
                     continue
-                executions += self._expand_local(record, speculator)
+                executions += self._expand_local(record)
         # Fault events (docs/FAULTS.md): crash each eligible node state once,
         # restart each crashed marker record once.  Entirely absent — not
         # merely inert — when disabled, so the default run is byte-identical
@@ -747,19 +728,11 @@ class _ExplorationPass:
             executions += self._duplicate_round()
         return executions
 
-    def _expand_local(self, record: NodeStateRecord, speculator) -> int:
+    def _expand_local(self, record: NodeStateRecord) -> int:
         """Execute every enabled internal action of one node state."""
         executions = 0
-        hit = (
-            speculator.internal_actions(record) if speculator is not None else None
-        )
-        if hit is not None:
-            actions, outcomes = hit
-            for action, outcome in zip(actions, outcomes):
-                executions += self._execute_internal(record, action, spec=outcome)
-        else:
-            for action in self.protocol.enabled_actions(record.state):
-                executions += self._execute_internal(record, action)
+        for action in self.protocol.enabled_actions(record.state):
+            executions += self._execute_internal(record, action)
         return executions
 
     # -- depth-extension re-offer (docs/CHECKPOINTS.md) --------------------------
@@ -787,7 +760,7 @@ class _ExplorationPass:
             executions += self._execute_delivery(record, stored)
         return executions
 
-    def _reoffer_locals(self, store, deferred: set, speculator) -> int:
+    def _reoffer_locals(self, store, deferred: set) -> int:
         """Expand deferred records the new bound unblocked."""
         executions = 0
         for index in sorted(deferred):
@@ -804,7 +777,7 @@ class _ExplorationPass:
             ):
                 self.blocked_by_bound = True
                 continue
-            executions += self._expand_local(record, speculator)
+            executions += self._expand_local(record)
         return executions
 
     def _reoffer_faults(self, store, deferred: set) -> int:
@@ -1039,32 +1012,6 @@ class _ExplorationPass:
         self._tick_budget()
         if self.coverage.enabled:
             self.coverage.note_delivery(type(stored.message.payload).__name__)
-        spec = (
-            self._speculator.delivery(record, stored)
-            if self._speculator is not None
-            else None
-        )
-        if spec is not None:
-            if spec == "a":
-                self._handle_assertion_failure(record)
-                return 1
-            if spec == "n":
-                self.stats.noop_executions += 1
-                return 1
-            self.stats.transitions += 1
-            memo = self._delivery_hash_memo
-            if memo is not None and stored.hash not in memo:
-                memo[stored.hash] = spec.ehash
-            self._integrate(
-                record,
-                DeliveryEvent(stored.message),
-                stored.hash,
-                spec.result,
-                is_internal=False,
-                event_hash_value=spec.ehash,
-                precomputed=spec,
-            )
-            return 1
         try:
             result = self.protocol.handle_message(record.state, stored.message)
         except LocalAssertionError:
@@ -1089,40 +1036,15 @@ class _ExplorationPass:
         )
         return 1
 
-    def _execute_internal(
-        self,
-        record: NodeStateRecord,
-        action: Action,
-        spec: Optional[object] = None,
-    ) -> int:
+    def _execute_internal(self, record: NodeStateRecord, action: Action) -> int:
         """Execute one enabled internal action (Fig. 9 line 7, handler ``H_A``).
 
         Local events are unchanged by the Fig. 8 transformation — they touch
-        no network.  ``spec`` is this action's precomputed outcome when the
-        round's parallel frontier pass covered it.  Returns handler
-        executions done (always 1).
+        no network.  Returns handler executions done (always 1).
         """
         self._tick_budget()
         if self.coverage.enabled:
             self.coverage.note_action(action.name)
-        if spec is not None:
-            if spec == "a":
-                self._handle_assertion_failure(record)
-                return 1
-            if spec == "n":
-                self.stats.noop_executions += 1
-                return 1
-            self.stats.transitions += 1
-            self._integrate(
-                record,
-                InternalEvent(action),
-                None,
-                spec.result,
-                is_internal=True,
-                event_hash_value=spec.ehash,
-                precomputed=spec,
-            )
-            return 1
         try:
             result = self.protocol.handle_action(record.state, action)
         except LocalAssertionError:
@@ -1145,16 +1067,8 @@ class _ExplorationPass:
         by construction.  Returns handler executions done (always 1).
         """
         self._tick_budget()
-        spec = (
-            self._speculator.crash(record) if self._speculator is not None else None
-        )
-        if spec is not None:
-            result = spec.result
-            ehash: Optional[int] = spec.ehash
-        else:
-            durable = durable_projection(self.protocol, record.node, record.state)
-            result = HandlerResult(CrashedState(node=record.node, durable=durable))
-            ehash = None
+        durable = durable_projection(self.protocol, record.node, record.state)
+        result = HandlerResult(CrashedState(node=record.node, durable=durable))
         self.stats.transitions += 1
         self.stats.fault_crashes += 1
         self._crashes_executed += 1
@@ -1170,9 +1084,7 @@ class _ExplorationPass:
             None,
             result,
             is_internal=False,
-            event_hash_value=ehash,
             fault="crash",
-            precomputed=spec,
         )
         return 1
 
@@ -1185,16 +1097,8 @@ class _ExplorationPass:
         process).  Returns handler executions done (always 1).
         """
         self._tick_budget()
-        spec = (
-            self._speculator.restart(record) if self._speculator is not None else None
-        )
-        if spec is not None:
-            result = spec.result
-            ehash: Optional[int] = spec.ehash
-        else:
-            recovered = restart_state(self.protocol, record.node, record.state.durable)
-            result = HandlerResult(recovered)
-            ehash = None
+        recovered = restart_state(self.protocol, record.node, record.state.durable)
+        result = HandlerResult(recovered)
         self.stats.transitions += 1
         self.stats.fault_restarts += 1
         if self.coverage.enabled:
@@ -1209,9 +1113,7 @@ class _ExplorationPass:
             None,
             result,
             is_internal=False,
-            event_hash_value=ehash,
             fault="restart",
-            precomputed=spec,
         )
         return 1
 
@@ -1318,7 +1220,6 @@ class _ExplorationPass:
         is_internal: bool,
         event_hash_value: Optional[int] = None,
         fault: Optional[str] = None,
-        precomputed: Optional[SpecExec] = None,
         history_token: Optional[int] = None,
     ) -> None:
         """Fold a handler result into ``LS``/``I+`` (Fig. 9 lines 8-9).
@@ -1336,24 +1237,10 @@ class _ExplorationPass:
         from enumeration, never anchor-checked); a restart starts the
         recovered state with an empty history so pre-crash messages can be
         redelivered to it.
-
-        ``precomputed`` carries a parallel-exploration worker's hashes for
-        this execution (successor hash/size, per-send hash/size): the merge
-        then skips every re-encoding but makes exactly the same decisions —
-        send admission, successor dedup and predecessor linking are driven
-        by the same hash values a serial run would compute.
         """
-        if precomputed is not None:
-            generated = precomputed.generated
-            for message, info in zip(result.sends, precomputed.send_info):
-                self.network.add_hashed(message, info[0], info[1])
-            new_hash = precomputed.new_hash
-            new_size: Optional[int] = precomputed.new_size
-        else:
-            generated = message_hashes(result.sends)
-            self.network.add_all(result.sends)
-            new_hash = content_hash(result.state)
-            new_size = None
+        generated = message_hashes(result.sends)
+        self.network.add_all(result.sends)
+        new_hash = content_hash(result.state)
         link = PredecessorLink(
             prev_hash=record.hash,
             event=event,
@@ -1371,10 +1258,6 @@ class _ExplorationPass:
             return
         existing = store.lookup(new_hash)
         if existing is not None:
-            if precomputed is not None:
-                # A speculatively-executed successor the deterministic merge
-                # found already in LS_n — exactly the dedup serial would do.
-                self.stats.explore_merge_conflicts_suppressed += 1
             if (
                 self._por
                 and consumed_hash is not None
@@ -1414,7 +1297,6 @@ class _ExplorationPass:
             history=history,
             crashes=record.crashes + (1 if fault == "crash" else 0),
             crashed=fault == "crash",
-            state_size=new_size,
         )
         new_record.add_predecessor(link)
         self._retained_bytes += new_record.retained_bytes()
@@ -1624,22 +1506,11 @@ class _ExplorationPass:
 
         Fig. 9 lines 13-16: the a-posteriori check that makes LMC sound
         (§4.1).  With ``verify_soundness`` off (the Fig. 13
-        "LMC-system-state" configuration) the violation is only counted —
-        or, under ``collect_preliminary``, queued for the parallel
-        verifier.  Wall time is moved from the enclosing ``system_states``
-        bucket into ``soundness`` so the Fig. 13 phases stay disjoint.
+        "LMC-system-state" configuration) the violation is only counted.
+        Wall time is moved from the enclosing ``system_states`` bucket into
+        ``soundness`` so the Fig. 13 phases stay disjoint.
         """
         if not self.config.verify_soundness:
-            if (
-                self.config.collect_preliminary
-                and len(self.unverified) < self.config.max_collected_preliminary
-            ):
-                key = tuple(
-                    (node, record.index) for node, record in sorted(combo.items())
-                )
-                if key not in self._unverified_keys:
-                    self._unverified_keys.add(key)
-                    self.unverified.append(dict(combo))
             return
         started = time.perf_counter()
         witness = self.verifier.is_state_sound(combo)

@@ -23,18 +23,15 @@ flags), the full ``I+`` log (message values, hashes, cursors, deferred
 pairs, fault-minted duplicate flags), all exploration counters and phase
 timers, the per-node sweep and fault cursors (including the drop sweep's
 cursor/deferred pairs and the duplication cursor), the depth series,
-confirmed bugs, the collected-unverified
-and rejected-combination caches, symmetry-reduction orbit keys, and the
-widening/prior-pass context of the enclosing run.
+confirmed bugs, the rejected-combination cache, symmetry-reduction orbit
+keys, and the widening/prior-pass context of the enclosing run.
 
 What is deliberately *not* serialized, because it is derived state rebuilt
 on demand: the soundness verifier's sequence/replay memos (cold memos only
 change ``*_cache_hits`` counters, never verdicts — the same contract the
 bench's cached-vs-uncached legs rely on), the projection cache and index
 (recomputed from the restored records in discovery order), the
-delivery-event-hash memo, the symmetry renamed-hash cache, and the
-parallel-exploration speculator (a fresh one re-ships the full ``I+`` log
-through its ordinary sync handshake).
+delivery-event-hash memo, and the symmetry renamed-hash cache.
 
 Model values round-trip through :mod:`repro.persistence`'s structural
 codec — the same closed class registry and versioned-envelope discipline as
@@ -72,7 +69,10 @@ from repro.stats.series import DepthSample
 #: Version 2 added the fault-scheduler extensions of docs/FAULTS.md: the
 #: drop-sweep cursor/deferred state, the duplication cursor, the per-message
 #: fault-minted ``duplicate`` flag, and drop/duplicate predecessor events.
-CHECKPOINT_FORMAT_VERSION = 2
+#: Version 3 dropped the parallel layers' state: the collected-unverified
+#: queue, three parallel-exploration counters, and five config fields from
+#: the fingerprint.
+CHECKPOINT_FORMAT_VERSION = 3
 #: Envelope kind tag (see :func:`repro.persistence.save_envelope`).
 CHECKPOINT_KIND = "lmc-checkpoint"
 
@@ -320,7 +320,6 @@ def snapshot_pass(
                 for sample in pass_.series.samples
             ],
             "bugs": [bug_to_dict(bug) for bug in pass_.bugs],
-            "unverified": [_combo_rows(combo) for combo in pass_.unverified],
             "rejected": {
                 "next": pass_._rejected_next,
                 "entries": [
@@ -425,14 +424,6 @@ def restore_pass(
 
     pass_.bugs.extend(bug_from_dict(item, registry) for item in data["bugs"])
 
-    for combo_rows in data["unverified"]:
-        combo = {
-            node: pass_.space.store(node).records[index]
-            for node, index in combo_rows
-        }
-        pass_._unverified_keys.add(tuple((node, index) for node, index in combo_rows))
-        pass_.unverified.append(combo)
-
     rejected = data["rejected"]
     pass_._rejected_next = rejected["next"]
     for entry_index, combo_rows in rejected["entries"]:
@@ -460,8 +451,7 @@ def restore_pass(
 
     # Derived caches are rebuilt, not restored: projections in discovery
     # order (exactly the order seeding + integration noted them), verifier
-    # memos cold (cache-hit counters only), speculator fresh (full-log
-    # resync on first dispatch).
+    # memos cold (cache-hit counters only).
     if pass_._projection_index is not None:
         for node in pass_.space.node_ids:
             for record in pass_.space.store(node).records:

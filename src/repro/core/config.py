@@ -94,18 +94,6 @@ class LMCConfig:
     #: Stop the whole run at the first confirmed bug.
     stop_on_first_bug: bool = True
 
-    #: With ``verify_soundness=False``, keep the violating combinations for
-    #: later (batched or parallel) verification instead of dropping them.
-    #: Used by :class:`~repro.core.parallel.ParallelLocalModelChecker`, which
-    #: exploits the paper's observation that exploration, system-state
-    #: creation and soundness verification are decoupled and "can be
-    #: embarrassingly parallelized".
-    collect_preliminary: bool = False
-
-    #: Cap on collected unverified combinations.  Bounds both memory and the
-    #: per-combination work-unit construction of the parallel verifier.
-    max_collected_preliminary: int = 2048
-
     #: Memoize soundness machinery: per-record sequence enumerations (keyed
     #: on the store version, so new states or predecessor pointers
     #: invalidate exactly) and replay verdicts (keyed on the event hashes of
@@ -170,26 +158,6 @@ class LMCConfig:
     #: default) is byte-identical to a build without partition support.
     partition_schedules: tuple = ()
 
-    #: Worker processes for parallel frontier exploration
-    #: (docs/PERFORMANCE.md): each round, the per-node frontier of pending
-    #: deliveries, internal actions and fault steps is sharded across the
-    #: persistent worker pool, which precomputes handler results and content
-    #: hashes; the coordinator then replays the exact serial sweep consuming
-    #: those results, so counters, verdicts and witnesses are byte-identical
-    #: to the serial checker.  ``0`` (the default) keeps exploration fully
-    #: in-process; ``None`` uses ``os.cpu_count()``.
-    explore_workers: Optional[int] = 0
-
-    #: Minimum frontier items per exploration shard: below this, fewer (or
-    #: larger) shards are used so dispatch overhead never exceeds the work
-    #: shipped.  Only consulted when ``explore_workers`` enables parallelism.
-    explore_shard_min: int = 64
-
-    #: Rounds with fewer frontier items than this run entirely serially —
-    #: early rounds are tiny (a handful of seeds and their first messages)
-    #: and pay pool latency without amortizing it.
-    explore_round_threshold: int = 128
-
     #: Symmetry reduction (docs/REDUCTION.md): canonicalise system-state
     #: combinations to orbit representatives under the protocol-declared
     #: node-symmetry group (the optional ``symmetry_classes()`` hook) before
@@ -246,12 +214,6 @@ class LMCConfig:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive or None")
-        if self.explore_workers is not None and self.explore_workers < 0:
-            raise ValueError("explore_workers must be >= 0 or None")
-        if self.explore_shard_min < 1:
-            raise ValueError("explore_shard_min must be >= 1")
-        if self.explore_round_threshold < 1:
-            raise ValueError("explore_round_threshold must be >= 1")
         if self.checkpoint_every_rounds is not None and self.checkpoint_every_rounds < 1:
             raise ValueError("checkpoint_every_rounds must be >= 1 or None")
         if self.max_crashes_per_node < 0:

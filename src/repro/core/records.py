@@ -115,9 +115,9 @@ class NodeStateRecord:
         #: paper's simplification).  Bounded by ``max_crashes_per_node``.
         self.crashes = crashes
         #: Canonical-encoding size of ``state``, when a caller already knows
-        #: it (parallel-exploration workers ship it next to the hash so the
-        #: coordinator's memory accounting never re-encodes a shipped state);
-        #: computed lazily — and then cached — otherwise.
+        #: it (checkpoint restore reinstates the recorded size so memory
+        #: accounting never re-encodes a restored state); computed lazily —
+        #: and then cached — otherwise.
         self.state_size = state_size
         self._link_keys: set = set()
 

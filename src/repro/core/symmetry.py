@@ -132,9 +132,8 @@ class SymmetryReducer:
     def for_pass(cls, pass_: Any) -> Optional["SymmetryReducer"]:
         """A reducer when the config and the protocol both enable one.
 
-        Mirrors ``RoundSpeculator.for_pass``: with the knob off — or a
-        protocol that declares no (usable) symmetry classes — the pass
-        carries ``None`` and pays nothing.
+        With the knob off — or a protocol that declares no (usable)
+        symmetry classes — the pass carries ``None`` and pays nothing.
         """
         if not pass_.config.symmetry_reduction:
             return None

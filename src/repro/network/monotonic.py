@@ -82,7 +82,7 @@ class MonotonicNetwork:
         self._copies: Dict[int, int] = {}  # message hash -> stored copies
         #: Stored messages in admission order; index equals ``seq``, so
         #: :meth:`messages_since` is a plain slice (the incremental ``I+``
-        #: delta parallel exploration ships to its workers).
+        #: delta the duplication sweep reads, and the log checkpoints save).
         self._log: List[StoredMessage] = []
         self._seq = 0
         self._suppressed_duplicates = 0
@@ -107,10 +107,9 @@ class MonotonicNetwork:
     ) -> Optional[StoredMessage]:
         """:meth:`add` with the content hash and size already computed.
 
-        Parallel exploration workers hash their handlers' sends; the
-        coordinator merges those messages without re-encoding them.  The
-        hash is trusted — canonical content hashing is deterministic across
-        processes (``tests/test_determinism.py``).
+        The admission step proper: the per-value copy bound, the
+        destination index and the admission log.  The hash is trusted, not
+        recomputed.
         """
         copies = self._copies.get(msg_hash, 0)
         if copies >= 1 + self.duplicate_limit:
@@ -176,8 +175,8 @@ class MonotonicNetwork:
 
         The monotone ``I+`` delta: because nothing is ever removed, a reader
         that has seen everything below ``seq`` is brought fully up to date by
-        exactly this slice.  Parallel exploration ships it to pool workers
-        instead of re-sending the whole network every round.
+        exactly this slice.  The duplication sweep reads the sends admitted
+        since its last round this way; a checkpoint saves ``messages_since(0)``.
         """
         return tuple(self._log[seq:])
 

@@ -4,7 +4,7 @@ A trace is a flat stream of JSON records, one per line.  Three kinds:
 
 ``span``
     A named, timed region — an exploration round, a system-state
-    materialisation batch, one soundness call, one worker verification.
+    materialisation batch, one soundness call.
     Spans carry ``id``/``parent`` so nested regions reconstruct into a
     tree; a span record is written when the region *ends* and its ``ts``
     is the region's start, so sorting by ``ts`` yields causal order.
@@ -20,9 +20,7 @@ and ``kind``.  The full field-by-field schema is docs/OBSERVABILITY.md.
 The default sink is :data:`NULL_EMITTER`, whose hooks are no-ops and whose
 ``span()`` returns a shared singleton — instrumented hot paths cost one
 no-op ``with`` statement when tracing is off.  Emitters are single-threaded
-by design (one per checker run); parallel workers do not emit directly but
-return pre-timed span dicts that the parent re-emits via
-:meth:`TraceEmitter.emit_span`, keeping a multiprocess run's trace coherent.
+by design (one per checker run).
 """
 
 from __future__ import annotations
@@ -128,33 +126,6 @@ class TraceEmitter:
         parent = self._stack[-1] if self._stack else None
         return _Span(self, name, span_id, parent, fields)
 
-    def emit_span(
-        self,
-        name: str,
-        dur_s: float,
-        fields: Optional[Dict[str, Any]] = None,
-        pid: Optional[int] = None,
-    ) -> None:
-        """Emit a pre-timed span (a worker's region, forwarded by the parent).
-
-        The record nests under the *parent's* current span and carries the
-        worker's ``pid``, so a multiprocess run reads as one tree.
-        """
-        span_id = self._next_id
-        self._next_id += 1
-        self._write_record(
-            {
-                "ts": time.perf_counter() - self._origin,
-                "pid": os.getpid() if pid is None else pid,
-                "kind": "span",
-                "name": name,
-                "id": span_id,
-                "parent": self._stack[-1] if self._stack else None,
-                "dur_s": dur_s,
-                "fields": dict(fields or {}),
-            }
-        )
-
     def event(self, name: str, **fields: Any) -> None:
         """Emit a point-in-time event record."""
         self._write_record(
@@ -209,9 +180,6 @@ class NullEmitter(TraceEmitter):
 
     def span(self, name: str, **fields: Any) -> _NullSpan:
         return _NULL_SPAN
-
-    def emit_span(self, name, dur_s, fields=None, pid=None) -> None:
-        pass
 
     def event(self, name: str, **fields: Any) -> None:
         pass

@@ -8,10 +8,8 @@ alone:
   vs soundness-verification wall-time shares, read from the final ``metric``
   record's ``phase_*_s`` fields (the same buckets the checker maintains);
 * the **§5.4 soundness profile** — call count, average wall time per call,
-  and sequences examined, aggregated over ``soundness`` and
-  ``worker_verify`` spans (so sequential and parallel runs read the same);
-* span counts/durations per name, final counters, and per-worker totals
-  for multiprocess runs.
+  and sequences examined, aggregated over ``soundness`` spans;
+* span counts/durations per name, cache-health gauges, and final counters.
 
 Rendering reuses :func:`repro.stats.reporting.format_table`, keeping
 trace-report output in the same monospace-table dialect as the benches.
@@ -26,10 +24,6 @@ from typing import Any, Dict, List, Optional
 from repro.obs.profiling import overhead_breakdown
 from repro.obs.progress import ProgressEstimate, estimate_progress, format_eta
 from repro.stats.reporting import format_table
-
-#: Span names counted into the §5.4 soundness profile.
-_SOUNDNESS_SPANS = ("soundness", "worker_verify")
-
 
 def load_trace(
     path: str, tolerate_truncated_tail: bool = True
@@ -118,13 +112,10 @@ class TraceSummary:
         calls = 0
         total_s = 0.0
         sequences = 0
-        for span in self.spans():
-            if span.get("name") not in _SOUNDNESS_SPANS:
-                continue
+        for span in self.spans("soundness"):
             calls += 1
             total_s += float(span.get("dur_s", 0.0))
-            fields = span.get("fields", {})
-            sequences += int(fields.get("sequences", fields.get("combinations", 0)))
+            sequences += int(span.get("fields", {}).get("sequences", 0))
         return {
             "calls": calls,
             "total_s": total_s,
@@ -161,28 +152,14 @@ class TraceSummary:
                 max_depth = int(bound)
         return estimate_progress(samples, max_depth)
 
-    def worker_profile(self) -> List[Dict[str, Any]]:
-        """Per-process totals over forwarded ``worker_verify`` spans."""
-        by_pid: Dict[int, Dict[str, Any]] = {}
-        for span in self.spans("worker_verify"):
-            pid = span.get("pid", 0)
-            entry = by_pid.setdefault(
-                pid, {"pid": pid, "units": 0, "total_s": 0.0}
-            )
-            entry["units"] += 1
-            entry["total_s"] += float(span.get("dur_s", 0.0))
-        return sorted(by_pid.values(), key=lambda entry: entry["pid"])
-
     def health_profile(self) -> Dict[str, Any]:
-        """Pool & cache health: interner hit rate, evictions, parallel rounds.
+        """Cache health: interner hit rate, evictions and cache hits.
 
         Pulls together the operational gauges a long run's trace carries but
         the paper tables don't surface: the hash interner's hit rate (the
         last ``hash_cache`` event — the interner is process-global, so the
-        last snapshot is the authoritative one), rejected-cache evictions
-        and the two cache-hit counters from the final metric, and the
-        parallel-exploration round/shard/sync-miss totals from
-        ``parallel_round`` events.
+        last snapshot is the authoritative one), and rejected-cache
+        evictions and the two cache-hit counters from the final metric.
         """
         health: Dict[str, Any] = {}
         caches = self.events("hash_cache")
@@ -202,22 +179,9 @@ class TraceSummary:
             "sequence_cache_hits",
             "replay_cache_hits",
             "rejected_cache_evictions",
-            "explore_rounds_parallel",
-            "explore_shards",
-            "explore_merge_conflicts_suppressed",
         ):
             if counter in final:
                 health[counter] = int(final[counter])
-        rounds = self.events("parallel_round")
-        if rounds:
-            fields_of = [record.get("fields", {}) for record in rounds]
-            health["parallel_round_events"] = len(rounds)
-            health["parallel_items"] = sum(
-                int(fields.get("items", 0)) for fields in fields_of
-            )
-            health["parallel_sync_misses"] = sum(
-                int(fields.get("sync_misses", 0)) for fields in fields_of
-            )
         return health
 
     # -- rendering -------------------------------------------------------------
@@ -286,16 +250,6 @@ class TraceSummary:
                 "Spans\n" + format_table(["span", "count", "total s"], span_rows)
             )
 
-        workers = self.worker_profile()
-        if workers:
-            sections.append(
-                "Workers\n"
-                + format_table(
-                    ["pid", "units", "total s"],
-                    [(w["pid"], w["units"], w["total_s"]) for w in workers],
-                )
-            )
-
         health = self.health_profile()
         if health:
             health_rows = []
@@ -305,7 +259,7 @@ class TraceSummary:
                 else:
                     health_rows.append((key, value))
             sections.append(
-                "Pool & cache health\n"
+                "Cache health\n"
                 + format_table(["gauge", "value"], health_rows)
             )
 

@@ -66,15 +66,6 @@ class ExplorationStats:
     fault_duplicates: int = 0
     #: Deliveries blocked (message × round) by an active partition window.
     partition_blocks: int = 0
-    #: Exploration rounds whose frontier was dispatched to the worker pool
-    #: (docs/PERFORMANCE.md "Parallel frontier exploration").
-    explore_rounds_parallel: int = 0
-    #: Frontier shards shipped to workers across all parallel rounds.
-    explore_shards: int = 0
-    #: Speculative successor states whose deterministic merge found the
-    #: state already in ``LS_n`` (cross-shard rediscoveries suppressed into
-    #: a predecessor pointer, exactly as serial dedup would).
-    explore_merge_conflicts_suppressed: int = 0
     #: Candidate system-state combinations skipped because another member of
     #: their symmetry orbit was already checked (docs/REDUCTION.md); zero
     #: unless ``LMCConfig.symmetry_reduction`` is on.
@@ -114,18 +105,13 @@ class ExplorationStats:
             "fault_drops": self.fault_drops,
             "fault_duplicates": self.fault_duplicates,
             "partition_blocks": self.partition_blocks,
-            "explore_rounds_parallel": self.explore_rounds_parallel,
-            "explore_shards": self.explore_shards,
-            "explore_merge_conflicts_suppressed": (
-                self.explore_merge_conflicts_suppressed
-            ),
             "symmetry_skips": self.symmetry_skips,
             "por_links_suppressed": self.por_links_suppressed,
             **{f"phase_{name}_s": secs for name, secs in self.phase_seconds.items()},
         }
 
     def merge(self, other: "ExplorationStats") -> None:
-        """Fold another counter block into this one (parallel-run aggregation)."""
+        """Fold another counter block into this one (summing a run's passes)."""
         self.transitions += other.transitions
         self.noop_executions += other.noop_executions
         self.global_states += other.global_states
@@ -147,11 +133,6 @@ class ExplorationStats:
         self.fault_drops += other.fault_drops
         self.fault_duplicates += other.fault_duplicates
         self.partition_blocks += other.partition_blocks
-        self.explore_rounds_parallel += other.explore_rounds_parallel
-        self.explore_shards += other.explore_shards
-        self.explore_merge_conflicts_suppressed += (
-            other.explore_merge_conflicts_suppressed
-        )
         self.symmetry_skips += other.symmetry_skips
         self.por_links_suppressed += other.por_links_suppressed
         for phase, seconds in other.phase_seconds.items():

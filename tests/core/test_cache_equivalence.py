@@ -5,14 +5,13 @@ incremental enumeration) are performance work only: every counter the §5
 benches print, every verdict, and every witness trace must be byte-identical
 with the caches disabled.  ``tools/bench.py`` checks this across processes;
 these tests check it in-process on the two snapshot experiments (§5.5 Paxos
-and §5.6 1Paxos), for both the sequential and the parallel front-end.
+and §5.6 1Paxos), both stopping at the first bug and run on to a budget.
 """
 
 import pytest
 
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
-from repro.core.parallel import ParallelLocalModelChecker
 from repro.explore.budget import SearchBudget
 from repro.model import hashing
 from repro.protocols.onepaxos import OnePaxosAgreement
@@ -85,13 +84,12 @@ def test_local_checker_equivalent_with_and_without_caches(scenario):
     assert _observable(cached) == _observable(uncached)
 
 
-#: The parallel front-end defers soundness verification, so it cannot stop
-#: on the first bug and would otherwise exhaust the snapshot spaces; a
-#: deterministic transition budget (the parallel ablation bench's pattern)
-#: plus a preliminary-collection cap keep the work list identical across
-#: modes and the test fast.
-PARALLEL_BUDGET = SearchBudget(max_transitions=400)
-PARALLEL_OVERRIDES = {"max_collected_preliminary": 64}
+#: Run-to-budget mode: every preliminary violation is verified instead of
+#: stopping at the first bug, and a deterministic transition budget keeps
+#: the work list identical across modes and the test fast.  The ``parallel``
+#: test IDs come from the process-pool front-end that ran in this mode.
+RUN_ON_BUDGET = SearchBudget(max_transitions=520)
+RUN_ON_OVERRIDES = {"stop_on_first_bug": False}
 
 
 @pytest.mark.parametrize("scenario", [_paxos_s55, _onepaxos_s56], ids=["s55", "s56"])
@@ -99,25 +97,25 @@ def test_parallel_checker_equivalent_with_and_without_caches(scenario):
     protocol, invariant, initial = scenario()
 
     def make(config):
-        return ParallelLocalModelChecker(
-            protocol, invariant, budget=PARALLEL_BUDGET, config=config, workers=0
+        return LocalModelChecker(
+            protocol, invariant, budget=RUN_ON_BUDGET, config=config
         )
 
-    cached = _run(make, initial, cached=True, **PARALLEL_OVERRIDES)
-    uncached = _run(make, initial, cached=False, **PARALLEL_OVERRIDES)
+    cached = _run(make, initial, cached=True, **RUN_ON_OVERRIDES)
+    uncached = _run(make, initial, cached=False, **RUN_ON_OVERRIDES)
+    assert cached.stats.soundness_calls > 0
     assert _observable(cached) == _observable(uncached)
 
 
 def test_parallel_confirms_bug_identically_with_and_without_caches():
-    """On a space small enough to exhaust, the confirmed bug is identical."""
+    """On a space small enough to exhaust, every confirmed bug is identical."""
     protocol = EagerCommitCoordinator(3, no_voters=(2,))
 
     def make(config):
-        return ParallelLocalModelChecker(
-            protocol, CommitValidity(), config=config, workers=0
-        )
+        return LocalModelChecker(protocol, CommitValidity(), config=config)
 
-    cached = _run(make, None, cached=True)
-    uncached = _run(make, None, cached=False)
+    cached = _run(make, None, cached=True, **RUN_ON_OVERRIDES)
+    uncached = _run(make, None, cached=False, **RUN_ON_OVERRIDES)
+    assert cached.completed
     assert cached.found_bug and uncached.found_bug
     assert _observable(cached) == _observable(uncached)

@@ -429,12 +429,15 @@ class TestRefusals:
         with open(path) as handle:
             envelope = json.load(handle)
 
-        envelope["version"] = 999
         tampered = str(tmp_path / "tampered.json")
-        with open(tampered, "w") as handle:
-            json.dump(envelope, handle)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(tampered)
+        # 2 is the previous format, whose payload still carried the
+        # parallel layers' queue, counters and config fields.
+        for version in (2, 999):
+            envelope["version"] = version
+            with open(tampered, "w") as handle:
+                json.dump(envelope, handle)
+            with pytest.raises(CheckpointError, match="version"):
+                load_checkpoint(tampered)
 
         envelope["version"] = 1
         envelope["format"] = "bug-corpus"

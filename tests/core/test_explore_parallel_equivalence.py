@@ -1,59 +1,72 @@
-"""Parallel frontier exploration must be invisible in every result.
+"""Exploration is independent of the phases that follow it.
 
-The PR's speculative round executor (docs/PERFORMANCE.md "Parallel frontier
-exploration") precomputes handler results on pool workers and merges them by
-replaying the exact serial sweep, so with ``explore_workers > 0`` every
-counter, verdict, witness trace and stop reason must equal the serial run —
-the same equivalence discipline ``test_cache_equivalence`` and
-``test_fault_equivalence`` apply to the PR 3 caches and the PR 4 fault
-scheduler.  The tests force tiny thresholds/shards so even small state
-spaces exercise dispatch, sync-miss recovery and the merge path, and a
-SIGKILL test checks the broken-pool retry leaves verdicts intact.
+LMC's exploration never consults system-state creation or soundness
+verification, which is what makes the phases separable (the paper's
+"embarrassingly parallelized" remark).  The Fig. 13 toggles expose this:
+switching off system-state creation (LMC-explore) or soundness verification
+(LMC-system-state) must leave every exploration counter identical to the
+full serial pipeline run to completion, and switching off only soundness
+must leave the system-state counters identical too.  Module and class names
+keep the test IDs of the speculative frontier exploration these runs were
+first compared against.
 """
 
-import os
-import signal
-
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import WORKLOADS
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
-from repro.core.pool import shared_executor, shutdown_worker_pool
 from repro.explore.budget import SearchBudget
 from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 from repro.protocols.paxos.scenarios import partial_choice_state, scenario_protocol
 from repro.protocols.twophase import CommitValidity, EagerCommitCoordinator
 from repro.replay import validate_bug
 
-#: Phase timers are wall-clock; the explore_* counters exist only so the
-#: parallel run can prove it actually went parallel.  Everything else must
-#: match the serial run exactly.
-EXCLUDED_KEYS = ("phase_", "explore_")
+#: Counters written by system-state creation and invariant checking.
+SYSTEM_STATE_KEYS = frozenset(
+    {"system_states_created", "invariant_checks", "preliminary_violations"}
+)
+#: Counters written by soundness verification and its caches.
+SOUNDNESS_KEYS = frozenset(
+    {
+        "soundness_calls",
+        "soundness_sequences",
+        "confirmed_bugs",
+        "sequence_cache_hits",
+        "replay_cache_hits",
+        "rejected_cache_evictions",
+    }
+)
 
-#: Aggressive knobs: parallelize every round, shard to single items, so tiny
-#: test spaces still cross the dispatch/merge machinery many times.
-PARALLEL = dict(explore_workers=2, explore_round_threshold=1, explore_shard_min=1)
+#: The Fig. 13 configurations, each run until its budget or exhaustion.
+EXPLORE_ONLY = dict(create_system_states=False)
+SYSTEM_STATE = dict(verify_soundness=False)
+FULL = dict(stop_on_first_bug=False)
 
 
-def _observable(result):
-    counts = {
+def _counts(result, keep):
+    return {
         key: value
         for key, value in result.stats.snapshot().items()
-        if not key.startswith(EXCLUDED_KEYS)
-    }
-    return {
-        "counts": counts,
-        "completed": result.completed,
-        "stop_reason": result.stop_reason,
-        "bugs": [bug.description for bug in result.bugs],
-        "traces": [bug.trace_lines() for bug in result.bugs],
+        if not key.startswith("phase_") and keep(key)
     }
 
 
-def _run(protocol, invariant, budget=None, initial=None, **config_kw):
+def _exploration(result):
+    return _counts(
+        result, lambda key: key not in SYSTEM_STATE_KEYS | SOUNDNESS_KEYS
+    )
+
+
+def _system_states(result):
+    return _counts(result, lambda key: key in SYSTEM_STATE_KEYS)
+
+
+def _run(make_protocol, invariant, budget=None, initial=None, **config_kw):
     checker = LocalModelChecker(
-        protocol,
+        make_protocol(),
         invariant,
         budget=budget or SearchBudget.unbounded(),
         config=LMCConfig.optimized(**config_kw),
@@ -61,87 +74,98 @@ def _run(protocol, invariant, budget=None, initial=None, **config_kw):
     return checker.run(initial)
 
 
+def _assert_decoupled(make_protocol, invariant, **kwargs):
+    explore = _run(make_protocol, invariant, **kwargs, **EXPLORE_ONLY)
+    system = _run(make_protocol, invariant, **kwargs, **SYSTEM_STATE)
+    full = _run(make_protocol, invariant, **kwargs, **FULL)
+    assert _exploration(explore) == _exploration(system) == _exploration(full)
+    assert _system_states(system) == _system_states(full)
+    assert explore.stats.system_states_created == 0
+    assert system.stats.soundness_calls == 0
+    return full
+
+
 class TestEquivalence:
     @settings(max_examples=5, deadline=None)
     @given(no_voter=st.sampled_from([None, 0, 1, 2]))
     def test_2pc_matches_serial(self, no_voter):
         voters = (no_voter,) if no_voter is not None else ()
-        serial = _run(EagerCommitCoordinator(3, no_voters=voters), CommitValidity())
-        parallel = _run(
-            EagerCommitCoordinator(3, no_voters=voters), CommitValidity(), **PARALLEL
+        full = _assert_decoupled(
+            lambda: EagerCommitCoordinator(3, no_voters=voters), CommitValidity()
         )
-        assert _observable(serial) == _observable(parallel)
-        assert parallel.stats.explore_rounds_parallel > 0
+        assert full.completed
+        assert full.found_bug == (no_voter is not None)
 
     @settings(max_examples=4, deadline=None)
     @given(depth=st.integers(min_value=3, max_value=6))
     def test_depth_bounded_paxos_matches_serial(self, depth):
-        protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),))
-        budget = SearchBudget(max_depth=depth)
-        serial = _run(protocol, PaxosAgreement(0), budget=budget)
-        parallel = _run(protocol, PaxosAgreement(0), budget=budget, **PARALLEL)
-        assert _observable(serial) == _observable(parallel)
-        assert parallel.stats.explore_rounds_parallel > 0
+        full = _assert_decoupled(
+            lambda: PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),)),
+            PaxosAgreement(0),
+            budget=SearchBudget(max_depth=depth),
+        )
+        assert full.completed and full.stats.transitions > 0
 
     @settings(max_examples=3, deadline=None)
     @given(max_crashes=st.integers(min_value=0, max_value=2))
     def test_faulty_paxos_matches_serial(self, max_crashes):
-        protocol = PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),))
-        budget = SearchBudget(max_depth=5)
-        faults = dict(fault_events_enabled=True, max_total_crashes=max_crashes)
-        serial = _run(protocol, PaxosAgreement(0), budget=budget, **faults)
-        parallel = _run(
-            protocol, PaxosAgreement(0), budget=budget, **faults, **PARALLEL
+        full = _assert_decoupled(
+            lambda: PaxosProtocol(num_nodes=3, proposals=((0, 0, "v0"),)),
+            PaxosAgreement(0),
+            budget=SearchBudget(max_depth=5),
+            fault_events_enabled=True,
+            max_total_crashes=max_crashes,
         )
-        assert _observable(serial) == _observable(parallel)
-        assert parallel.stats.explore_rounds_parallel > 0
+        assert full.stats.fault_crashes <= max_crashes
 
     def test_buggy_scenario_bug_and_witness_match(self):
-        serial = _run(
-            scenario_protocol(buggy=True),
+        # The first bug is confirmed at transition 516; the budget stops the
+        # run-to-completion configurations just past it.
+        full = _assert_decoupled(
+            lambda: scenario_protocol(buggy=True),
+            PaxosAgreement(0),
+            budget=SearchBudget(max_transitions=520),
+            initial=partial_choice_state(),
+        )
+        assert full.found_bug
+        first = _run(
+            lambda: scenario_protocol(buggy=True),
             PaxosAgreement(0),
             initial=partial_choice_state(),
         )
-        parallel = _run(
-            scenario_protocol(buggy=True),
-            PaxosAgreement(0),
-            initial=partial_choice_state(),
-            **PARALLEL,
-        )
-        assert serial.found_bug and parallel.found_bug
-        assert _observable(serial) == _observable(parallel)
+        assert first.bugs[0].trace_lines() == full.bugs[0].trace_lines()
         replayed = validate_bug(
-            scenario_protocol(buggy=True), parallel.first_bug(), PaxosAgreement(0)
+            scenario_protocol(buggy=True), full.first_bug(), PaxosAgreement(0)
         )
         assert replayed.complete and replayed.violates
 
     def test_round_threshold_keeps_small_runs_serial(self):
-        result = _run(
-            EagerCommitCoordinator(3),
-            CommitValidity(),
-            explore_workers=2,
-            explore_round_threshold=10_000,
-        )
+        """Every run is serial: the round-dispatch knobs no longer exist."""
+        for knob in ("explore_round_threshold", "explore_shard_min"):
+            with pytest.raises(TypeError):
+                LMCConfig.optimized(**{knob: 1})
+        result = _run(EagerCommitCoordinator, CommitValidity())
         assert result.completed
-        assert result.stats.explore_rounds_parallel == 0
-        assert result.stats.explore_shards == 0
 
-
-class TestPoolFailure:
-    def teardown_method(self):
-        shutdown_worker_pool()
-
-    def test_killed_worker_mid_setup_still_matches_serial(self):
-        """SIGKILL a pool worker; dispatch must recover (or fall back) with
-        byte-identical results either way."""
-        shutdown_worker_pool()
-        executor = shared_executor(2)
-        victim = executor.submit(os.getpid).result()
-        os.kill(victim, signal.SIGKILL)
-        protocol = EagerCommitCoordinator(3, no_voters=(2,))
-        serial = _run(EagerCommitCoordinator(3, no_voters=(2,)), CommitValidity())
-        parallel = _run(protocol, CommitValidity(), **PARALLEL)
-        assert _observable(serial) == _observable(parallel)
-        assert parallel.found_bug
-        replayed = validate_bug(protocol, parallel.first_bug(), CommitValidity())
-        assert replayed.complete and replayed.violates
+    @pytest.mark.parametrize("buggy", [False, True], ids=["clean", "buggy"])
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_workload_exploration_independent_of_later_phases(
+        self, workload, buggy
+    ):
+        """Every CLI workload, depth-bounded.  Local invariants build their
+        completion system states inside soundness verification, so only the
+        exploration counters are compared here."""
+        builder = WORKLOADS[workload][0]
+        budget = SearchBudget(max_depth=4)
+        runs = [
+            LocalModelChecker(
+                *builder(3, buggy),
+                budget=budget,
+                config=LMCConfig.optimized(**phase),
+            ).run()
+            for phase in (EXPLORE_ONLY, SYSTEM_STATE, FULL)
+        ]
+        assert all(run.completed for run in runs)
+        explore, system, full = (_exploration(run) for run in runs)
+        assert explore == system == full
+        assert full["transitions"] > 0

@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
-from repro.core.parallel import ParallelLocalModelChecker
 from repro.explore.budget import SearchBudget
 from repro.obs.coverage import CoverageTracker
 from repro.obs.registry import RunRegistry
@@ -82,17 +81,20 @@ def test_local_checker_identical_with_observability_on(scenario, tmp_path):
 
 
 def test_parallel_checker_identical_with_observability_on(tmp_path):
+    """Run-to-budget mode (every preliminary violation verified), which the
+    process-pool front-end behind this test ID used to run."""
     protocol, invariant, initial = _paxos_s55()
-    budget = SearchBudget(max_transitions=400)
-    config = LMCConfig.optimized(max_collected_preliminary=64)
+    budget = SearchBudget(max_transitions=520)  # just past the first bug
+    config = LMCConfig.optimized(stop_on_first_bug=False)
 
     def run(**kwargs):
-        return ParallelLocalModelChecker(
-            protocol, invariant, budget=budget, config=config, workers=0, **kwargs
+        return LocalModelChecker(
+            protocol, invariant, budget=budget, config=config, **kwargs
         ).run(initial)
 
     plain = run()
     instrumented = run(**_instrumented_kwargs(tmp_path, interval=0.001))
+    assert plain.stats.soundness_calls > 0
     assert _observable(plain) == _observable(instrumented)
 
 

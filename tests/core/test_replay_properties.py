@@ -13,7 +13,12 @@ from typing import Dict, List, Optional, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.soundness import SequenceStep, replay_sequences
+from repro.core.soundness import (
+    SequenceStep,
+    backtrack_order,
+    has_competing_consumers,
+    replay_sequences,
+)
 from repro.model.events import InternalEvent
 from repro.model.types import Action
 
@@ -144,8 +149,9 @@ def test_competing_consumers_fall_back_to_backtracking():
 
 
 def test_plain_replay_falls_back_too():
-    from repro.core.parallel import _replay_plain
-
-    order = _replay_plain(COMPETING_CONSUMERS)
+    """The fallback search works on plain hash steps alone."""
+    assert has_competing_consumers(COMPETING_CONSUMERS)
+    order = backtrack_order(COMPETING_CONSUMERS)
     assert order is not None
     assert len(order) == 3
+    assert order.index((2, 0)) < order.index((1, 0))  # the send feeds node 1

@@ -68,19 +68,6 @@ class TestMemoryEmitter:
         # Outer starts before inner even though its record is written later.
         assert outer_rec["ts"] <= inner_rec["ts"]
 
-    def test_emit_span_carries_foreign_pid_and_nests(self):
-        emitter = MemoryEmitter()
-        with emitter.span("dispatch"):
-            emitter.emit_span("worker_verify", 0.5, {"unit": 3}, pid=12345)
-        worker = next(
-            r for r in emitter.records if r.get("name") == "worker_verify"
-        )
-        dispatch = next(r for r in emitter.records if r.get("name") == "dispatch")
-        assert worker["pid"] == 12345
-        assert worker["dur_s"] == 0.5
-        assert worker["fields"] == {"unit": 3}
-        assert worker["parent"] == dispatch["id"]
-
     def test_exception_still_emits_span(self):
         emitter = MemoryEmitter()
         with pytest.raises(RuntimeError):
@@ -165,7 +152,6 @@ class TestNullEmitter:
         assert NULL_EMITTER.enabled is False
         NULL_EMITTER.event("x", a=1)
         NULL_EMITTER.metric(b=2)
-        NULL_EMITTER.emit_span("w", 0.1)
         with NULL_EMITTER.span("s") as span:
             span.add(c=3)
 

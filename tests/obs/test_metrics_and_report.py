@@ -161,16 +161,6 @@ def _trace_records():
             "fields": {"sequences": 500, "sound": False},
         },
         {
-            "ts": 0.2,
-            "pid": 7,
-            "kind": "span",
-            "name": "worker_verify",
-            "id": 2,
-            "parent": None,
-            "dur_s": 0.015,
-            "fields": {"combinations": 100, "sound": True},
-        },
-        {
             "ts": 0.3,
             "pid": 1,
             "kind": "metric",
@@ -193,22 +183,18 @@ class TestTraceSummary:
             "system_states": 0.1,
         }
 
-    def test_soundness_profile_merges_worker_spans(self):
+    def test_soundness_profile_sums_spans(self):
         profile = TraceSummary(_trace_records()).soundness_profile()
-        assert profile["calls"] == 2
-        assert profile["sequences"] == 600
-        assert profile["total_s"] == pytest.approx(0.06)
-        assert profile["avg_ms"] == pytest.approx(30.0)
-
-    def test_worker_profile_groups_by_pid(self):
-        workers = TraceSummary(_trace_records()).worker_profile()
-        assert workers == [{"pid": 7, "units": 1, "total_s": 0.015}]
+        assert profile["calls"] == 1
+        assert profile["sequences"] == 500
+        assert profile["total_s"] == pytest.approx(0.045)
+        assert profile["avg_ms"] == pytest.approx(45.0)
 
     def test_render_contains_all_sections(self):
         text = TraceSummary(_trace_records()).render()
         assert "Overhead breakdown (Fig. 13)" in text
         assert "Soundness verification profile" in text
-        assert "Workers" in text
+        assert "Spans\n" in text
         assert "Final counters" in text
         assert "1,186" in text
 

@@ -1,11 +1,12 @@
 """Integration: traces from real checker runs agree with ExplorationStats."""
 
+import os
+
 import pytest
 
 from repro.cli import main
 from repro.core.checker import LocalModelChecker
 from repro.core.config import LMCConfig
-from repro.core.parallel import ParallelLocalModelChecker
 from repro.explore.budget import SearchBudget
 from repro.obs.emitter import MemoryEmitter
 from repro.obs.report import TraceSummary
@@ -82,44 +83,49 @@ class TestSequentialTrace:
 
 
 class TestParallelTrace:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_worker_spans_agree_with_merged_stats(self, workers):
+    """Run-to-completion traces: every preliminary violation is verified in
+    the checking process.  The class keeps the test IDs of the process-pool
+    checker whose forwarded worker spans these runs replaced."""
+
+    @pytest.mark.parametrize("crashes", [0, 2])
+    def test_worker_spans_agree_with_merged_stats(self, crashes):
         emitter = MemoryEmitter()
-        result = ParallelLocalModelChecker(
+        result = LocalModelChecker(
             EagerCommitCoordinator(3, no_voters=(2,)),
             CommitValidity(),
-            workers=workers,
+            config=LMCConfig.optimized(
+                stop_on_first_bug=False,
+                fault_events_enabled=True,
+                max_total_crashes=crashes,
+            ),
             emitter=emitter,
         ).run()
         stats = result.stats
 
         assert result.found_bug
-        worker_spans = spans(emitter, "worker_verify")
-        assert len(worker_spans) == stats.soundness_calls > 0
-        # The satellite bugfix: worker combination counts are merged, not
-        # silently dropped.
+        soundness = spans(emitter, "soundness")
+        assert len(soundness) == stats.soundness_calls > 0
         assert (
-            sum(s["fields"]["combinations"] for s in worker_spans)
+            sum(s["fields"]["sequences"] for s in soundness)
             == stats.soundness_sequences
             > 0
         )
-        assert len(spans(emitter, "dispatch")) == 1
-        # The Fig. 13 decomposition exists in parallel mode too.
+        assert len(spans(emitter, "bug")) == stats.confirmed_bugs
+        # The Fig. 13 decomposition covers the run-to-completion mode too.
         assert "soundness" in stats.phase_seconds
         assert "explore" in stats.phase_seconds
 
     def test_pool_worker_pids_forwarded(self):
-        import os
-
+        """No record is forwarded from another process."""
         emitter = MemoryEmitter()
-        ParallelLocalModelChecker(
+        LocalModelChecker(
             EagerCommitCoordinator(3, no_voters=(2,)),
             CommitValidity(),
-            workers=2,
+            config=LMCConfig.optimized(stop_on_first_bug=False),
             emitter=emitter,
         ).run()
-        pids = {s["pid"] for s in spans(emitter, "worker_verify")}
-        assert pids and os.getpid() not in pids
+        assert spans(emitter, "soundness")
+        assert {r["pid"] for r in emitter.records} == {os.getpid()}
 
 
 class TestCliTracing:
@@ -142,24 +148,15 @@ class TestCliTracing:
         assert (tmp_path / "tree.trace.jsonl").exists()
 
     def test_parallel_cli_trace_has_worker_spans(self, tmp_path, capsys):
+        """A CLI trace of a buggy run: soundness spans come from the CLI
+        process itself and the report still profiles them."""
         path = tmp_path / "par.jsonl"
-        assert (
-            main(
-                [
-                    "check",
-                    "2pc",
-                    "--buggy",
-                    "--algorithm",
-                    "lmc-parallel",
-                    "--trace-out",
-                    str(path),
-                ]
-            )
-            == 1
-        )
+        assert main(["check", "2pc", "--buggy", "--trace-out", str(path)]) == 1
         summary = TraceSummary.from_file(str(path))
-        assert summary.spans("worker_verify")
-        assert summary.soundness_profile()["calls"] > 0
+        soundness = summary.spans("soundness")
+        assert soundness
+        assert {span["pid"] for span in soundness} == {os.getpid()}
+        assert summary.soundness_profile()["calls"] == len(soundness)
         assert set(summary.phase_seconds()) >= {"explore", "soundness"}
 
     def test_scenario_accepts_trace_flags(self, tmp_path, capsys):

@@ -44,7 +44,13 @@ class TestCheckCommand:
         assert main(["check", "chain", "--algorithm", "lmc-gen"]) == 0
 
     def test_parallel_algorithm(self, capsys):
-        assert main(["check", "tree", "--algorithm", "lmc-parallel"]) == 0
+        """Exploration is serial only: no parallel ``--algorithm`` choice."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["check", "tree", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{bdfs,lmc-gen,lmc-opt}" in out
+        assert "parallel" not in out
 
     def test_depth_bound_flag(self, capsys):
         assert main(["check", "echo", "--max-depth", "2"]) == 0

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Before/after benchmark harness for the LMC hot-path caches.
+"""Count-equality harness for LMC: cached, uncached, reduced and incremental legs.
 
 Runs the Fig. 10/11 workloads (and the §5.5/§5.6 snapshot experiments) in
 two modes — *cached* (every cache enabled, the library default) and
@@ -13,16 +13,7 @@ measurement sees cold caches, an honest ``ru_maxrss``, and no JIT-warm
 interpreter state from the other mode.  Wall-clock is the **minimum** over
 ``--repeat`` runs (minimum, not mean: scheduling noise only ever adds time).
 
-A third leg (``--explore-workers N``, default 2; 0 disables) reruns every
-workload with parallel frontier exploration on — caches as in cached mode —
-and asserts the same counter/verdict/trace equality against the serial
-cached run (docs/PERFORMANCE.md: the parallel merge must be semantics-
-preserving, exactly like the caches).  The measured wall clock and
-serial/parallel speedup are recorded; the payload also records ``cpus`` so
-a reader can tell a real speedup environment from a single-core container,
-where the speculative executor can only break even at best.
-
-A fourth leg (on by default; ``--no-reduction`` disables) reruns every
+A third leg (on by default; ``--no-reduction`` disables) reruns every
 workload with symmetry reduction and commutativity pruning on
 (docs/REDUCTION.md).  Reduction legitimately shrinks visit counts, so this
 leg gates only verdicts and bug sets and records ``reduction_ratio`` —
@@ -31,7 +22,7 @@ unreduced over reduced ``system_states_created``.  The dedicated
 must show at least the 2x ratio the reduction promises; the gate is
 count-based and therefore deterministic.
 
-A fifth leg (full suite only; ``--no-incremental`` disables) measures
+A fourth leg (full suite only; ``--no-incremental`` disables) measures
 checkpoint-based depth extension (docs/CHECKPOINTS.md): one child runs the
 Fig. 10 sweep *incrementally* — cold at d=4 with a final checkpoint, then
 ``extend_depth`` through d=6, 8, 10, each leg exploring only the frontier
@@ -47,7 +38,8 @@ The harness *asserts* that all modes produce identical counters, verdicts
 and witness traces — the caches are required to be semantics-preserving —
 and exits non-zero on any divergence, which is what the CI perf-smoke job
 keys on.  Wall-clock is recorded but never gated in ``--quick`` mode:
-shared CI runners are too noisy to assert timing.
+shared CI runners are too noisy to assert timing.  The payload records
+the host's ``cpus`` and Python version next to the timings.
 
 Usage::
 
@@ -78,19 +70,10 @@ NONDETERMINISTIC_KEYS = ("phase_",)
 CACHE_ONLY_KEYS = frozenset(
     {"sequence_cache_hits", "replay_cache_hits", "rejected_cache_evictions"}
 )
-#: Likewise excluded: these count parallel-exploration machinery (rounds
-#: dispatched, shards, merge-suppressed rediscoveries), so serial runs
-#: report zeros for them by construction.
-EXPLORE_ONLY_KEYS = frozenset(
-    {
-        "explore_rounds_parallel",
-        "explore_shards",
-        "explore_merge_conflicts_suppressed",
-    }
-)
-#: And these count the reduction machinery (docs/REDUCTION.md): orbit skips
-#: and suppressed delivery orderings are zero with the knobs off and are
-#: reported in the ``reduced`` leg's own section, not in ``counts``.
+#: Likewise excluded: these count the reduction machinery
+#: (docs/REDUCTION.md): orbit skips and suppressed delivery orderings are
+#: zero with the knobs off and are reported in the ``reduced`` leg's own
+#: section, not in ``counts``.
 REDUCTION_ONLY_KEYS = frozenset({"symmetry_skips", "por_links_suppressed"})
 
 #: Depths for the Fig. 10 sweep.  ``max_depth`` bounds *per-node* discovery
@@ -111,7 +94,6 @@ def _filtered_counts(snapshot: Dict[str, Any]) -> Dict[str, Any]:
         for key, value in snapshot.items()
         if not key.startswith(NONDETERMINISTIC_KEYS)
         and key not in CACHE_ONLY_KEYS
-        and key not in EXPLORE_ONLY_KEYS
         and key not in REDUCTION_ONLY_KEYS
     }
 
@@ -130,9 +112,8 @@ def _build_checker(workload: str, config_overrides: Dict[str, Any]):
     from repro.explore.budget import SearchBudget
 
     if workload == "paxos2_d6":
-        # The deep parallel-exploration workload: two competing proposals
-        # make the frontier wide enough (thousands of items per round) that
-        # round sharding has real work to amortize dispatch against.
+        # The deep exploration-bound workload: two competing proposals make
+        # the frontier wide (thousands of items per round) at depth 6.
         from repro.protocols.paxos import PaxosAgreement, PaxosProtocol
 
         protocol = PaxosProtocol(
@@ -267,15 +248,6 @@ def _run_child(workload: str, mode: str) -> None:
             "memoize_soundness": False,
             "incremental_enumeration": False,
         }
-    elif mode.startswith("explore"):
-        # Parallel frontier exploration on top of the cached defaults.  Low
-        # threshold/shard floor so even the smaller workloads actually cross
-        # the dispatch path instead of silently staying serial.
-        overrides = {
-            "explore_workers": int(mode[len("explore") :]),
-            "explore_round_threshold": 32,
-            "explore_shard_min": 8,
-        }
     elif mode == "reduced":
         # Symmetry + commutativity reduction on top of the cached defaults
         # (docs/REDUCTION.md).  Visit counts legitimately shrink, so this
@@ -331,7 +303,6 @@ def _run_child(workload: str, mode: str) -> None:
                 [start, end, list(srcs), list(dests)]
                 for start, end, srcs, dests in checker.config.partition_schedules
             ],
-            "explore_workers": checker.config.explore_workers,
             "symmetry_reduction": checker.config.symmetry_reduction,
             "por_pruning": checker.config.por_pruning,
         },
@@ -342,9 +313,6 @@ def _run_child(workload: str, mode: str) -> None:
         "intern": hashing.intern_stats(),
         "cache_hits": {
             key: result.stats.snapshot()[key] for key in sorted(CACHE_ONLY_KEYS)
-        },
-        "explore": {
-            key: result.stats.snapshot()[key] for key in sorted(EXPLORE_ONLY_KEYS)
         },
         "reduction": {
             key: result.stats.snapshot()[key] for key in sorted(REDUCTION_ONLY_KEYS)
@@ -568,7 +536,6 @@ def run_incremental_leg(
 def run_suite(
     workloads: List[str],
     repeat: int,
-    explore_workers: int,
     reduction: bool,
     incremental: bool = True,
 ) -> Dict[str, Any]:
@@ -602,29 +569,6 @@ def run_suite(
             f"uncached={uncached['wall_s']:.3f}s speedup={speedup}x",
             flush=True,
         )
-        if explore_workers > 0:
-            # Serial vs parallel exploration, both with warm caches: the
-            # parallel merge must reproduce the serial run bit for bit.
-            explore = _measure(workload, f"explore{explore_workers}", repeat)
-            errors.extend(_compare_modes(workload, "explore", cached, explore))
-            speedup_explore = (
-                round(cached["wall_s"] / explore["wall_s"], 3)
-                if explore["wall_s"] > 0
-                else None
-            )
-            results[workload]["explore"] = {
-                "config": explore["config"],
-                "wall_s": round(explore["wall_s"], 4),
-                "speedup_vs_serial": speedup_explore,
-                "peak_rss_kb": explore["peak_rss_kb"],
-                "counters": explore["explore"],
-            }
-            print(
-                f"[bench]   explore({explore_workers}w)={explore['wall_s']:.3f}s "
-                f"speedup_vs_serial={speedup_explore}x "
-                f"rounds={explore['explore']['explore_rounds_parallel']}",
-                flush=True,
-            )
         if reduction:
             # Symmetry + commutativity reduction on (docs/REDUCTION.md).
             # Visit counts legitimately shrink, so unlike the other legs
@@ -717,14 +661,6 @@ def main() -> None:
         help="skip the >=2x paxos_opt wall-clock assertion (implied by --quick)",
     )
     parser.add_argument(
-        "--explore-workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="also run each workload with N-worker parallel exploration and "
-        "gate its counts against the serial run (0 skips the leg)",
-    )
-    parser.add_argument(
         "--no-reduction",
         action="store_true",
         help="skip the symmetry/commutativity reduction leg "
@@ -771,7 +707,6 @@ def main() -> None:
     results = run_suite(
         workloads,
         repeat,
-        max(0, args.explore_workers),
         not args.no_reduction,
         incremental=not args.no_incremental,
     )
@@ -779,12 +714,11 @@ def main() -> None:
     # Write the report before any gating so a failing gate still leaves the
     # measurements on disk (CI uploads them as an artifact either way).
     payload = {
-        "benchmark": "LMC hot-path caches (cached vs uncached)",
+        "benchmark": "LMC count equality (cached, uncached, reduced, incremental)",
         "python": sys.version.split()[0],
         "cpus": os.cpu_count(),
         "repeat": repeat,
         "quick": args.quick,
-        "explore_workers": max(0, args.explore_workers),
         "workloads": results,
     }
     with open(args.out, "w") as handle:

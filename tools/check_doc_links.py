@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Fail on dead relative links, dead anchors, and dead code refs in docs.
 
-Scans the given markdown files (default: docs/*.md and README.md) for:
+Scans the given markdown files (default: docs/*.md, README.md, DESIGN.md
+and EXPERIMENTS.md) for:
 
 * inline links ``[text](target)`` whose target is a relative path —
   resolved against the containing file's directory; external
@@ -149,7 +150,9 @@ def main(argv: list) -> int:
     if argv:
         files = [Path(arg) for arg in argv]
     else:
-        files = sorted(root.glob("docs/*.md")) + [root / "README.md"]
+        files = sorted(root.glob("docs/*.md")) + [
+            root / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+        ]
     broken = 0
     slug_cache: dict = {}
     for path in files:
